@@ -57,15 +57,15 @@ class EagerTriggerEngine:
     computed) are pull-evaluated in dependency order on first touch.
     """
 
-    #: kept for interface parity with the incremental engine; eager engines
-    #: never leave anything out of date.
-    out_of_date: set[Slot]
+    #: the incremental engine's mark sets, kept for interface parity; eager
+    #: engines never leave anything out of date, so they stay empty.
+    out_of_date: frozenset[Slot] = frozenset()
+    out_of_date_constraints: frozenset[Slot] = frozenset()
 
     def __init__(self, host: EvaluationHost, budget: int | None = None) -> None:
         self.host = host
         self.budget = budget
         self.counters = EvalCounters()
-        self.out_of_date = set()
         self.standing_demands: set[Slot] = set()
         self._recomputes_this_txn = 0
 
@@ -116,6 +116,15 @@ class EagerTriggerEngine:
 
     def is_out_of_date(self, slot: Slot) -> bool:
         return False
+
+    def restore_mark(self, slot: Slot) -> None:
+        """Interface parity: an eager engine has no mark to reinstate."""
+
+    def watch_names(self, names: Iterable[str]) -> None:
+        """Interface parity: nothing is ever stale, so nothing is watched."""
+
+    def stale_ids(self, name: str) -> frozenset[int]:
+        return frozenset()
 
     def reset_wave(self) -> None:
         """Interface parity with the incremental engine; nothing queued."""

@@ -214,11 +214,8 @@ class Database:
             data = {
                 f.name: getattr(counters, f.name) for f in dc_fields(EvalCounters)
             }
-            # Gauges; baseline engines may not carry them.
-            data["out_of_date"] = len(getattr(self.engine, "out_of_date", ()))
-            data["standing_demands"] = len(
-                getattr(self.engine, "standing_demands", ())
-            )
+            data["out_of_date"] = len(self.engine.out_of_date)
+            data["standing_demands"] = len(self.engine.standing_demands)
             return data
 
         def scheduler_metrics() -> dict:
@@ -592,11 +589,12 @@ class Database:
             snapshot = instance.snapshot()
             # Preserve out-of-date marks: a restored instance must not serve
             # cached derived values that were stale at delete time.
-            snapshot["out_of_date"] = [
-                name
-                for (slot_iid, name) in self.engine.out_of_date
-                if slot_iid == iid
-            ]
+            out_of_date = self.engine.out_of_date
+            snapshot["out_of_date"] = sorted(
+                slot[1]
+                for slot in self._all_slots(instance)
+                if slot in out_of_date
+            )
             self.txn.log(DeleteRecord(snapshot=snapshot))
             self._do_delete(iid, peer_keys)
         for listener in tuple(self._delete_listeners):
@@ -936,17 +934,7 @@ class Database:
 
     def audit_constraints(self) -> None:
         """Evaluate every unverified constraint; raises on violation."""
-        index = getattr(self.engine, "out_of_date_constraints", None)
-        if index is None:
-            # Baseline engines keep no constraint index; scan the full
-            # out-of-date set the classic way.
-            pending = {
-                slot
-                for slot in self.engine.out_of_date
-                if is_constraint_attr(slot[1])
-            }
-        else:
-            pending = set(index)
+        pending = set(self.engine.out_of_date_constraints)
         pending.update(self._unchecked_constraints)
         if not pending:
             return
@@ -991,12 +979,8 @@ class Database:
                 snap["attrs"],
                 active_subtypes=snap["active_subtypes"],
             )
-            restore = getattr(self.engine, "restore_mark", None)
             for name in snap.get("out_of_date", ()):
-                if restore is not None:
-                    restore((snap["iid"], name))
-                else:  # baseline engines: bare mark set only
-                    self.engine.out_of_date.add((snap["iid"], name))
+                self.engine.restore_mark((snap["iid"], name))
         elif isinstance(record, ConnectRecord):
             self._do_disconnect(
                 record.iid_a, record.port_a, record.iid_b, record.port_b

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Iterable
+from typing import AbstractSet, Any, Iterable
 
 from repro.core.rules import is_constraint_attr, is_subtype_attr
 from repro.core.slots import Slot, describe
@@ -129,6 +129,11 @@ class IncrementalEngine:
         #: the constraint-attribute subset of ``out_of_date``, maintained on
         #: every add/discard so commit-time audits never scan the full set.
         self.out_of_date_constraints: set[Slot] = set()
+        #: watched slot name -> iids whose slot of that name is out of
+        #: date; the per-name subsets of ``out_of_date`` an index refresh
+        #: reads (see :meth:`watch_names`), kept in step like the
+        #: constraint subset above.
+        self.stale_by_name: dict[str, set[int]] = {}
         self.standing_demands: set[Slot] = set()
         #: flattened slot plans (repro.compile.slotplan) when the host is a
         #: Database with compilation enabled; None routes every inner loop
@@ -177,6 +182,28 @@ class IncrementalEngine:
 
     def is_out_of_date(self, slot: Slot) -> bool:
         return slot in self.out_of_date
+
+    def watch_names(self, names: Iterable[str]) -> None:
+        """Keep a per-name stale set for each of ``names`` from now on.
+
+        Replaces the previous watch list.  Seeding scans the mark set once;
+        afterwards every mark and clear updates the sets in O(1), so a
+        reader of :meth:`stale_ids` pays for its own stale slots only.
+        """
+        watched: dict[str, set[int]] = {name: set() for name in names}
+        if watched:
+            for iid, name in self.out_of_date:
+                stale = watched.get(name)
+                if stale is not None:
+                    stale.add(iid)
+        self.stale_by_name = watched
+
+    def stale_ids(self, name: str) -> AbstractSet[int]:
+        """Ids whose watched ``name`` slot is out of date (empty if unwatched).
+
+        The live set, not a copy: demanding its slots shrinks it.
+        """
+        return self.stale_by_name.get(name, frozenset())
 
     # ------------------------------------------------------------------
     # batched waves
@@ -457,6 +484,10 @@ class IncrementalEngine:
         if slot in self.out_of_date:
             return  # raced with another path; cut short
         self.out_of_date.add(slot)
+        if self.stale_by_name:
+            stale = self.stale_by_name.get(slot[1])
+            if stale is not None:
+                stale.add(slot[0])
         self.counters.slots_marked += 1
         obs = self._obs
         if obs is not None and obs.hub.active:
@@ -709,6 +740,10 @@ class IncrementalEngine:
         old = self.host.read_slot_value(slot) if had_old else None
         self.host.write_slot_value(slot, value)
         self.out_of_date.discard(slot)
+        if self.stale_by_name:
+            stale = self.stale_by_name.get(slot[1])
+            if stale is not None:
+                stale.discard(iid)
         self.counters.rule_evaluations += 1
         unchanged = had_old and old == value
         if unchanged:
@@ -757,17 +792,24 @@ class IncrementalEngine:
         self.out_of_date.discard(slot)
         self.out_of_date_constraints.discard(slot)
         self.standing_demands.discard(slot)
+        stale = self.stale_by_name.get(slot[1])
+        if stale is not None:
+            stale.discard(slot[0])
 
     def restore_mark(self, slot: Slot) -> None:
         """Re-mark a slot directly (rollback / snapshot restore paths).
 
         Unlike :meth:`_mark_body` this neither fans out nor collects
         importance -- the mark is being *reinstated*, not discovered -- but
-        it keeps the constraint index consistent with ``out_of_date``.
+        it keeps the constraint and per-name stale sets consistent with
+        ``out_of_date``.
         """
         self.out_of_date.add(slot)
         if is_constraint_attr(slot[1]):
             self.out_of_date_constraints.add(slot)
+        stale = self.stale_by_name.get(slot[1])
+        if stale is not None:
+            stale.add(slot[0])
 
     def reset_wave(self) -> None:
         """Abandon an in-flight wave (a constraint vetoed the transaction).

@@ -19,11 +19,17 @@ keeps two auxiliary structures per index:
 
 A reader calls :meth:`IndexManager.refresh_attr_index` /
 :meth:`IndexManager.refresh_extent` before trusting a structure: the
-refresh demands every pending slot and every covered slot still marked in
-``engine.out_of_date`` whose name matches, after which the index is exact.
-This is the paper's demand-driven evaluation applied to a set-valued
-derived datum: the first query over a cold derived index pays the same
-evaluations the naive scan would, and every query after that is
+refresh demands every pending slot and every covered slot still out of
+date, after which the index is exact.  The stale slots come from the
+engine's per-name stale sets (``IncrementalEngine.stale_by_name``), one per
+name in :attr:`IndexManager.hot_names`, which :meth:`IndexManager.sync`
+registers through ``engine.watch_names``.  The engine keeps each set in
+step with ``out_of_date`` wherever a mark is added or cleared (marking,
+evaluation write-back, ``forget_slot``, ``restore_mark``), so a refresh
+costs O(stale + pending covered slots) however many unrelated slots are
+marked.  This is the paper's demand-driven evaluation applied to a
+set-valued derived datum: the first query over a cold derived index pays
+the same evaluations the naive scan would, and every query after that is
 incremental.
 """
 
@@ -324,6 +330,7 @@ class IndexManager:
         self._extent_cover = {}
         self.counts = {}
         if not self.enabled:
+            self.db.engine.watch_names(())
             return
         schema = self.db.schema
         for class_name, attrs in sorted(schema.indexes.items()):
@@ -351,6 +358,7 @@ class IndexManager:
             self.extents[class_name] = extent
             self.membership_names.add(extent.slot_name)
         self.hot_names = self.attr_names | self.membership_names
+        self.db.engine.watch_names(self.hot_names)
         cover: dict[str, list[AttrIndex]] = {}
         for index in self.attr_indexes.values():
             for name in index.covered:
@@ -453,21 +461,14 @@ class IndexManager:
                 index.pending.clear()
             return
         db = self.db
-        catalog = db._catalog
         attr = index.attr
-        covered = index.covered
-        stale = [
-            iid
-            for (iid, name) in list(getattr(db.engine, "out_of_date", ()))
-            if name == attr
-            and (inst := catalog.get(iid)) is not None
-            and inst.class_name in covered
-        ]
+        stale = self._stale_covered(attr, index.covered)
         pending = list(index.pending)
         if not stale and not pending:
             return
         self.stats.sweeps += 1
         self._emit_sweep("attr", f"{index.class_name}.{attr}", len(stale), len(pending))
+        catalog = db._catalog
         for iid in stale:
             self.stats.swept_slots += 1
             db.get_attr(iid, attr)
@@ -482,15 +483,7 @@ class IndexManager:
         """Resolve every unresolved or stale membership slot of the extent."""
         db = self.db
         catalog = db._catalog
-        slot_name = extent.slot_name
-        cone = extent.cone
-        stale = [
-            iid
-            for (iid, name) in list(getattr(db.engine, "out_of_date", ()))
-            if name == slot_name
-            and (inst := catalog.get(iid)) is not None
-            and inst.class_name in cone
-        ]
+        stale = self._stale_covered(extent.slot_name, extent.cone)
         pending = [iid for iid in extent.pending if iid in catalog]
         if not stale and not pending:
             return
@@ -503,6 +496,16 @@ class IndexManager:
             self.stats.swept_slots += 1
             db.is_member(iid, extent.subtype)
         extent.pending.difference_update(pending)
+
+    def _stale_covered(self, name: str, classes: frozenset[str]) -> list[int]:
+        """A copy of the engine's stale set for ``name``, cut to ``classes``."""
+        catalog = self.db._catalog
+        return [
+            iid
+            for iid in self.db.engine.stale_ids(name)
+            if (inst := catalog.get(iid)) is not None
+            and inst.class_name in classes
+        ]
 
     def _emit_sweep(self, kind: str, name: str, stale: int, pending: int) -> None:
         hub = self.db.obs.hub
@@ -552,6 +555,9 @@ class IndexManager:
             "pending": (
                 sum(len(i.pending) for i in self.attr_indexes.values())
                 + sum(len(e.pending) for e in self.extents.values())
+            ),
+            "stale": sum(
+                len(self.db.engine.stale_ids(name)) for name in self.hot_names
             ),
             "inserts": stats.inserts,
             "removes": stats.removes,

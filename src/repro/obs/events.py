@@ -304,7 +304,7 @@ class IndexSweep(Event):
 
     kind: str = "attr"  # "attr" | "extent"
     name: str = ""  # "class.attr" for attr indexes, subtype name for extents
-    stale: int = 0  # slots found in the engine's out-of-date set
+    stale: int = 0  # covered slots in the engine's per-name stale set
     pending: int = 0  # covered slots never evaluated before this sweep
 
 

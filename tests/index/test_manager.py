@@ -260,6 +260,18 @@ class TestMetricsAndDisabling:
         db.create("item", weight=1)
         assert db.indexes.attr_indexes == {}
         assert db.indexes.metrics()["entries"] == 0
+        assert db.engine.stale_by_name == {}  # nothing watched, nothing kept
+
+    def test_stale_gauge_counts_watched_marks_only(self):
+        db = make_db("twice")
+        iids = [db.create("item", weight=w) for w in (1, 2, 3)]
+        index = index_of(db, "twice")
+        db.indexes.refresh_attr_index(index)
+        for iid in iids[:2]:
+            db.set_attr(iid, "weight", 5)
+        assert db.indexes.metrics()["stale"] == 2
+        db.indexes.refresh_attr_index(index)
+        assert db.indexes.metrics()["stale"] == 0
 
     def test_manager_rebuild_matches_incremental(self):
         db = make_db("weight")

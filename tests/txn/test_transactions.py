@@ -116,6 +116,21 @@ class TestUndo:
         assert db.view(nodes[1]).connections("inputs") == [nodes[0]]
         assert db.get_attr(nodes[2], "total") == 3
 
+    def test_delete_reads_only_the_instances_own_marks(self, db):
+        class UnscannableMarks(set):
+            def __iter__(self):
+                raise AssertionError("walked the whole out-of-date set")
+
+        iid = db.create("node", weight=1)
+        assert db.get_attr(iid, "total") == 1
+        db.set_attr(iid, "weight", 5)  # marks total; nothing demands it
+        db.engine.out_of_date = UnscannableMarks(db.engine.out_of_date)
+        db.delete(iid)
+        db.undo()
+        # The restored instance must not serve its stale cached total.
+        assert db.engine.is_out_of_date((iid, "total"))
+        assert db.get_attr(iid, "total") == 5
+
     def test_undo_restores_connection_order(self, db):
         hub = db.create("node")
         ups = [db.create("node", weight=i) for i in range(3)]
