@@ -1,9 +1,10 @@
 """Indexed query execution vs the naive full scan (the PR-10 A/B).
 
 Claim under test: over >=10^4 instances, a selective ``where`` answered
-from an attribute index and an ``order by ... limit`` answered by an
-ordered index walk are both >=10x faster than :meth:`Query.run_scan`,
-with byte-identical results; and the write-path cost of maintaining the
+from an attribute index, a narrow two-sided window answered from one
+index slice, and an ``order by ... limit`` answered by an ordered index
+walk are all >=10x faster than :meth:`Query.run_scan`, with
+byte-identical results; and the write-path cost of maintaining the
 indexes stays a small constant factor on update throughput.
 
 Numbers land in ``results/BENCH_query.json`` (and ``query.txt``).
@@ -61,6 +62,10 @@ QUERIES = {
     "selective_where": "select item where bucket == 17",
     "where_order_limit": "select item where bucket == 17 order by score desc limit 10",
     "order_limit": "select item order by score desc limit 10",
+    # ~55 instances lie in the window; the residual keeps one of them.
+    "two_sided_residual": (
+        "select item where score > 30000 and score < 30300 and bucket == 16"
+    ),
 }
 
 
@@ -94,6 +99,7 @@ def test_indexed_vs_scan(benchmark):
         }
         # The acceptance bar: >=10x on the selective and ordered shapes.
         assert speedup >= 10, (name, speedup)
+    assert compiled["two_sided_residual"].plan(db).sarg.upper == ("<", 30300)
 
     benchmark.pedantic(
         lambda: compiled["where_order_limit"].run(db),

@@ -39,7 +39,9 @@ of :class:`repro.index.IndexManager`:
   maintained member set instead of an ``is_member`` probe per instance.
 * **index_eq** / **index_range** -- an equality or range sarg answered
   from an attribute index bucket / ``bisect`` slice, with the residual
-  conjuncts evaluated only over the narrowed candidates.
+  conjuncts evaluated only over the narrowed candidates.  An attribute
+  bounded on both sides (``lo < attr and attr <= hi``) also gets a
+  two-sided sarg, answered from one slice between both bounds.
 * **index_order** -- ``order by`` answered by walking the index in key
   order; a ``limit`` short-circuits the walk.
 
@@ -88,12 +90,23 @@ class Sarg:
     compiled as its own predicate -- evaluated over the candidates the
     index probe returns instead of re-checking the whole ``where`` body.
     ``None`` means the sarg was the entire predicate.
+
+    A two-sided range sarg holds its lower bound in ``op``/``value`` and
+    its upper bound as ``upper``, an ``(op, literal)`` pair.
     """
 
     attr: str
     op: str
     value: Any
     residual: Predicate | None
+    upper: tuple[str, Any] | None = None
+
+    @property
+    def bounds(self) -> tuple[tuple[str, Any], ...]:
+        """Every ``(op, literal)`` bound the probe applies."""
+        if self.upper is None:
+            return ((self.op, self.value),)
+        return ((self.op, self.value), self.upper)
 
 
 @dataclass(frozen=True)
@@ -117,14 +130,7 @@ class Query:
 
     def run_scan(self, db: "Database") -> list[int]:
         """The naive full-scan reference path (what :meth:`run` A/Bs against)."""
-        candidates = db.instances_of(self.class_name)
-        if self.predicate is not None:
-            candidates = [
-                iid
-                for iid in candidates
-                if self.predicate.on_view(db.view(iid))
-            ]
-        return self._order_and_limit(db, candidates)
+        return self._finish(db, db.instances_of(self.class_name), self.predicate)
 
     # ------------------------------------------------------------------
     # planning
@@ -183,14 +189,18 @@ class Query:
             n_candidates = mgr.count_of_cone(mgr.concrete_cone(self.class_name))
             scan_cost = float(n_total + n_candidates * (1 + full_ops))
 
-        best = QueryPlan(self, db, "scan", cost=scan_cost, scan_cost=scan_cost)
+        best = QueryPlan(
+            self, db, "scan", cost=scan_cost, scan_cost=scan_cost,
+            estimated=n_candidates,
+        )
 
         if extent is not None:
             sweep = len(extent.pending) * member_ops
             cost = float(sweep + len(extent.members) * (1 + full_ops))
             if cost < best.cost:
                 best = QueryPlan(
-                    self, db, "extent", cost=cost, scan_cost=scan_cost
+                    self, db, "extent", cost=cost, scan_cost=scan_cost,
+                    estimated=n_members,
                 )
 
         for sarg in self.sargs:
@@ -208,7 +218,7 @@ class Query:
                 path = "index_eq" if sarg.op == "==" else "index_range"
                 best = QueryPlan(
                     self, db, path, index=index, sarg=sarg,
-                    cost=cost, scan_cost=scan_cost,
+                    cost=cost, scan_cost=scan_cost, estimated=matching,
                 )
 
         if self.order_by is not None:
@@ -230,7 +240,7 @@ class Query:
                 if cost < best.cost:
                     best = QueryPlan(
                         self, db, "index_order", index=index,
-                        cost=cost, scan_cost=scan_cost,
+                        cost=cost, scan_cost=scan_cost, estimated=examined,
                     )
 
         return best
@@ -243,16 +253,23 @@ class Query:
                 return len(index.buckets.get(sarg.value, ())) + pending
             except TypeError:
                 return None
-        group = index.single_group()
-        if group is None or group != group_of(sarg.value):
-            # Mixed or mismatched key types: the probe could not reproduce
-            # naive comparison semantics (which may raise TypeError).
+        if not _range_sound(index, sarg):
             return None
-        return index.count_range(sarg.op, sarg.value) + pending
+        return index.count_range(sarg.op, sarg.value, sarg.upper) + pending
 
     # ------------------------------------------------------------------
-    # shared ordering / limiting tail (both paths funnel through here)
+    # shared filter / order / limit tail (scan, extent and sarg paths)
     # ------------------------------------------------------------------
+
+    def _finish(
+        self, db: "Database", candidates: list[int], predicate: Predicate | None
+    ) -> list[int]:
+        """Filter ascending ``candidates`` through ``predicate``, order, limit."""
+        if predicate is not None:
+            candidates = [
+                iid for iid in candidates if predicate.on_view(db.view(iid))
+            ]
+        return self._order_and_limit(db, candidates)
 
     def _order_and_limit(self, db: "Database", candidates: list[int]) -> list[int]:
         if self.order_by is not None and candidates:
@@ -318,8 +335,13 @@ class QueryPlan:
     sarg: Sarg | None = None
     cost: float = 0.0
     scan_cost: float = 0.0
+    #: the planner's candidate count for the chosen path (None when
+    #: indexes are disabled and nothing was priced).
+    estimated: int | None = None
     #: set by execute() when an indexed path had to degrade to the scan.
     degraded: bool = field(default=False, init=False)
+    #: set by execute(): candidates the executed path filtered.
+    examined: int = field(default=0, init=False)
 
     def execute(self) -> list[int]:
         query, db = self.query, self.db
@@ -329,21 +351,29 @@ class QueryPlan:
             result = self._execute_indexed(mgr)
         if result is _FALLBACK:
             self.degraded = self.access_path != "scan"
-            if mgr is not None and mgr.enabled:
-                mgr.stats.queries += 1
-                mgr.stats.scan_queries += 1
-            self._emit(db, "scan")
-            return query.run_scan(db)
-        mgr.stats.queries += 1
-        if self.access_path == "extent":
-            mgr.stats.extent_queries += 1
-        else:
-            mgr.stats.indexed_queries += 1
-        self._emit(db, self.access_path)
+            candidates = db.instances_of(query.class_name)
+            self.examined = len(candidates)
+            self._record(mgr, "scan")
+            return query._finish(db, candidates, query.predicate)
+        self._record(mgr, self.access_path)
         return result
 
-    def _emit(self, db: "Database", path: str) -> None:
-        hub = db.obs.hub
+    def _record(self, mgr: "IndexManager | None", path: str) -> None:
+        """Count the execution, flag a >2x misestimate, emit the event."""
+        if mgr is not None and mgr.enabled:
+            stats = mgr.stats
+            stats.queries += 1
+            if path == "scan":
+                stats.scan_queries += 1
+            elif path == "extent":
+                stats.extent_queries += 1
+            else:
+                stats.indexed_queries += 1
+            if self.estimated is not None:
+                estimated, examined = max(self.estimated, 1), max(self.examined, 1)
+                if estimated > 2 * examined or examined > 2 * estimated:
+                    stats.plan_misestimates += 1
+        hub = self.db.obs.hub
         if hub.active:
             from repro.obs.events import QueryPlanned
 
@@ -355,6 +385,8 @@ class QueryPlan:
                     cost=self.cost,
                     scan_cost=self.scan_cost,
                     degraded=self.degraded,
+                    estimated=self.estimated,
+                    examined=self.examined,
                 )
             )
 
@@ -386,13 +418,8 @@ class QueryPlan:
                 return _FALLBACK
             mgr.refresh_extent(extent)
             candidates = sorted(extent.members)
-            if query.predicate is not None:
-                candidates = [
-                    iid
-                    for iid in candidates
-                    if query.predicate.on_view(db.view(iid))
-                ]
-            return query._order_and_limit(db, candidates)
+            self.examined = len(candidates)
+            return query._finish(db, candidates, query.predicate)
 
         index = self.index
         assert index is not None
@@ -408,19 +435,13 @@ class QueryPlan:
             assert sarg is not None
             if sarg.op == "==":
                 iids = index.equal(sarg.value)
+            elif _range_sound(index, sarg):
+                iids = index.range(sarg.op, sarg.value, sarg.upper)
             else:
-                group = index.single_group()
-                if group is None or group != group_of(sarg.value):
-                    return _FALLBACK  # keys churned during refresh
-                iids = index.range(sarg.op, sarg.value)
+                return _FALLBACK  # keys churned during refresh
             candidates = [iid for iid in iids if allowed(iid)]
-            if sarg.residual is not None:
-                candidates = [
-                    iid
-                    for iid in candidates
-                    if sarg.residual.on_view(db.view(iid))
-                ]
-            return query._order_and_limit(db, candidates)
+            self.examined = len(candidates)
+            return query._finish(db, candidates, sarg.residual)
 
         # index_order: walk keys in order; buckets keep ascending iids, so
         # equal keys reproduce the stable sort's tie order exactly.
@@ -430,10 +451,12 @@ class QueryPlan:
         predicate = query.predicate
         limit = query.limit
         result: list[int] = []
+        self.examined = 0
         for key in index.ordered_keys(query.descending):
             for iid in index.buckets[key]:
                 if not allowed(iid):
                     continue
+                self.examined += 1
                 if predicate is not None and not predicate.on_view(db.view(iid)):
                     continue
                 result.append(iid)
@@ -568,30 +591,74 @@ def _extract_sargs(
     """Sargable conjuncts of a ``where`` clause, with compiled residuals."""
     attrs = schema.resolved(class_name).attributes
     conjuncts = _conjuncts(where_expr)
+
+    def residual_without(*positions: int) -> Predicate | None:
+        rest = [c for k, c in enumerate(conjuncts) if k not in positions]
+        if not rest:
+            return None
+        folded = rest[0]
+        for extra in rest[1:]:
+            folded = ast.Binary(
+                "and", folded, extra, line=extra.line, column=extra.column
+            )
+        inputs, evaluator = compiler._compile_body(
+            scope, folded, folded.line, folded.column
+        )
+        return Predicate(
+            inputs, evaluator, description=f"residual where-clause on {class_name}"
+        )
+
     sargs: list[Sarg] = []
+    ranges: dict[str, list[tuple[int, str, Any]]] = {}
     for position, conjunct in enumerate(conjuncts):
         probe = _sarg_shape(conjunct, attrs, compiler)
         if probe is None:
             continue
         attr, op, value = probe
-        rest = conjuncts[:position] + conjuncts[position + 1 :]
-        residual: Predicate | None = None
-        if rest:
-            folded = rest[0]
-            for extra in rest[1:]:
-                folded = ast.Binary(
-                    "and", folded, extra, line=extra.line, column=extra.column
+        sargs.append(Sarg(attr, op, value, residual_without(position)))
+        if op in _RANGE_OPS:
+            ranges.setdefault(attr, []).append((position, op, value))
+    for attr, bounds in ranges.items():
+        window = _tightest_window(bounds)
+        if window is not None:
+            (low_at, low_op, low), (high_at, high_op, high) = window
+            sargs.append(
+                Sarg(
+                    attr, low_op, low, residual_without(low_at, high_at),
+                    upper=(high_op, high),
                 )
-            inputs, evaluator = compiler._compile_body(
-                scope, folded, folded.line, folded.column
             )
-            residual = Predicate(
-                inputs,
-                evaluator,
-                description=f"residual where-clause on {class_name}",
-            )
-        sargs.append(Sarg(attr=attr, op=op, value=value, residual=residual))
     return tuple(sargs)
+
+
+def _tightest_window(
+    bounds: list[tuple[int, str, Any]],
+) -> tuple[tuple[int, str, Any], tuple[int, str, Any]] | None:
+    """The tightest lower and upper ``(position, op, literal)`` bounds of
+    one attribute, or None unless it has both and every literal is in one
+    comparable group.  At equal literals the strict bound is the tighter."""
+    groups = {group_of(value) for __, __, value in bounds}
+    if len(groups) != 1 or groups.pop() not in ("num", "str"):
+        return None
+    lower = [b for b in bounds if b[1] in (">", ">=")]
+    upper = [b for b in bounds if b[1] in ("<", "<=")]
+    if not lower or not upper:
+        return None
+    return (
+        max(lower, key=lambda b: (b[2], b[1] == ">")),
+        min(upper, key=lambda b: (b[2], b[1] == "<=")),
+    )
+
+
+def _range_sound(index: AttrIndex, sarg: Sarg) -> bool:
+    """Whether a ``bisect`` probe reproduces the naive comparisons: only
+    over an index of one comparable key group that every literal shares
+    (mixed keys must reach the scan, which raises what naive evaluation
+    raises)."""
+    group = index.single_group()
+    return group is not None and all(
+        group_of(value) == group for __, value in sarg.bounds
+    )
 
 
 def _sarg_shape(

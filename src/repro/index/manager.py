@@ -74,6 +74,19 @@ def group_of(value: Any) -> str:
     return f"other:{type(value).__name__}"
 
 
+def _cut(keys: list, op: str, value: Any) -> tuple[int, int]:
+    """The ``[start, stop)`` slice of sorted ``keys`` where ``key <op> value``."""
+    if op == "<":
+        return 0, bisect_left(keys, value)
+    if op == "<=":
+        return 0, bisect_right(keys, value)
+    if op == ">":
+        return bisect_right(keys, value), len(keys)
+    if op == ">=":
+        return bisect_left(keys, value), len(keys)
+    raise ValueError(f"not a range operator: {op!r}")
+
+
 @dataclass
 class IndexStats:
     """Maintenance and planner counters, surfaced as ``index.*`` metrics."""
@@ -87,6 +100,7 @@ class IndexStats:
     extent_queries: int = 0
     scan_queries: int = 0
     short_circuits: int = 0
+    plan_misestimates: int = 0
 
 
 class AttrIndex:
@@ -98,7 +112,9 @@ class AttrIndex:
     directions; walking buckets in key order with ascending iids inside
     reproduces that order byte for byte.  ``keys_of_group`` keeps the
     distinct keys of each comparable group sorted for range probes
-    (``bisect``) and ordered walks.
+    (``bisect``) and ordered walks, and ``group_sizes`` counts the covered
+    instances whose key falls in each group, so a range count reads only
+    the shorter side of its cut.
     """
 
     __slots__ = (
@@ -108,6 +124,7 @@ class AttrIndex:
         "derived",
         "buckets",
         "keys_of_group",
+        "group_sizes",
         "key_of",
         "pending",
         "unhashable",
@@ -122,6 +139,7 @@ class AttrIndex:
         self.derived = derived
         self.buckets: dict[Any, list[int]] = {}
         self.keys_of_group: dict[str, list] = {}
+        self.group_sizes: dict[str, int] = {}
         self.key_of: dict[int, Any] = {}
         self.pending: set[int] = set()
         #: covered iids whose value cannot be a dict key (a native rule
@@ -152,9 +170,10 @@ class AttrIndex:
             self.unhashable.add(iid)
             return
         self.key_of[iid] = value
+        group = group_of(value)
+        self.group_sizes[group] = self.group_sizes.get(group, 0) + 1
         if bucket is None:
             self.buckets[value] = [iid]
-            group = group_of(value)
             if group in ("num", "str"):
                 insort(self.keys_of_group.setdefault(group, []), value)
             else:
@@ -168,10 +187,11 @@ class AttrIndex:
         value = self.key_of.pop(iid, _MISSING)
         if value is _MISSING:
             return
+        group = group_of(value)
+        self.group_sizes[group] -= 1
         bucket = self.buckets[value]
         if len(bucket) == 1:
             del self.buckets[value]
-            group = group_of(value)
             if group in ("num", "str"):
                 keys = self.keys_of_group[group]
                 keys.pop(bisect_left(keys, value))
@@ -200,41 +220,55 @@ class AttrIndex:
         except TypeError:  # unhashable probe value
             return [i for i, k in sorted(self.key_of.items()) if k == value]
 
-    def range(self, op: str, value: Any) -> list[int]:
+    def _window(
+        self, op: str, value: Any, upper: tuple[str, Any] | None
+    ) -> tuple[str, list, int, int]:
+        """``(group, keys, start, stop)``: the sorted keys of ``value``'s
+        group and the slice ``keys[start:stop]`` satisfying ``key <op>
+        value`` (and ``upper``, a second ``(op, literal)`` bound of the same
+        group, when given).  ``stop <= start`` is an empty window."""
+        group = group_of(value)
+        keys = self.keys_of_group.get(group, [])
+        start, stop = _cut(keys, op, value)
+        if upper is not None:
+            low, high = _cut(keys, *upper)
+            start, stop = max(start, low), min(stop, high)
+        return group, keys, start, stop
+
+    def range(
+        self, op: str, value: Any, upper: tuple[str, Any] | None = None
+    ) -> list[int]:
         """Covered iids whose key satisfies ``key <op> value``, ascending.
 
-        Only call when :meth:`single_group` matches ``group_of(value)`` --
-        a mixed index must fall back to the scan path so that incomparable
-        keys surface the same ``TypeError`` the naive evaluation raises.
+        ``upper`` adds a second bound, so a two-sided window is one slice
+        of the sorted key list.  Only call when :meth:`single_group`
+        matches the group of every literal -- a mixed index must fall back
+        to the scan path so that incomparable keys surface the same
+        ``TypeError`` the naive evaluation raises.
         """
-        keys = self.keys_of_group.get(group_of(value), [])
-        if op == "<":
-            selected = keys[: bisect_left(keys, value)]
-        elif op == "<=":
-            selected = keys[: bisect_right(keys, value)]
-        elif op == ">":
-            selected = keys[bisect_right(keys, value):]
-        elif op == ">=":
-            selected = keys[bisect_left(keys, value):]
-        else:  # pragma: no cover - planner only emits the four range ops
-            raise ValueError(f"not a range operator: {op!r}")
+        __, keys, start, stop = self._window(op, value, upper)
+        buckets = self.buckets
         result: list[int] = []
-        for key in selected:
-            result.extend(self.buckets[key])
+        for key in keys[start:stop]:
+            result.extend(buckets[key])
         result.sort()
         return result
 
-    def count_range(self, op: str, value: Any) -> int:
-        keys = self.keys_of_group.get(group_of(value), [])
-        if op == "<":
-            selected = keys[: bisect_left(keys, value)]
-        elif op == "<=":
-            selected = keys[: bisect_right(keys, value)]
-        elif op == ">":
-            selected = keys[bisect_right(keys, value):]
-        else:
-            selected = keys[bisect_left(keys, value):]
-        return sum(len(self.buckets[key]) for key in selected)
+    def count_range(
+        self, op: str, value: Any, upper: tuple[str, Any] | None = None
+    ) -> int:
+        """``len(self.range(op, value, upper))``, reading only the buckets
+        of the shorter side of the cut: the longer side's count is the
+        group's instance count minus the shorter side's."""
+        group, keys, start, stop = self._window(op, value, upper)
+        buckets = self.buckets
+        inside = max(stop - start, 0)
+        if inside <= len(keys) - inside:
+            return sum(len(buckets[key]) for key in keys[start:stop])
+        outside = sum(len(buckets[key]) for key in keys[:start]) + sum(
+            len(buckets[key]) for key in keys[stop:]
+        )
+        return self.group_sizes.get(group, 0) - outside
 
     def ordered_keys(self, descending: bool) -> list:
         group = self.single_group()
@@ -568,4 +602,5 @@ class IndexManager:
             "extent_queries": stats.extent_queries,
             "scan_queries": stats.scan_queries,
             "short_circuits": stats.short_circuits,
+            "plan_misestimates": stats.plan_misestimates,
         }

@@ -294,6 +294,8 @@ class QueryPlanned(Event):
     cost: float = 0.0  # planner's estimate for the chosen path
     scan_cost: float = 0.0  # what the naive scan was priced at
     degraded: bool = False  # an indexed plan fell back to the scan at run time
+    estimated: int | None = None  # planner's candidate count for the chosen path
+    examined: int = 0  # candidates the executed path filtered
 
 
 @dataclass

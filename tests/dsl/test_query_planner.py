@@ -8,6 +8,7 @@ reference the indexed paths must reproduce byte for byte.
 import pytest
 
 from repro.core.database import Database
+from repro.core.predicates import Predicate
 from repro.dsl import compile_schema
 from repro.dsl.query import compile_query, run_query
 from repro.errors import QueryError
@@ -113,6 +114,113 @@ class TestAccessPaths:
         assert plan.index.class_name == "item"
 
 
+def spy_on_views(monkeypatch):
+    """Record ``(predicate, iid)`` for every ``Predicate.on_view`` call."""
+    seen = []
+    original = Predicate.on_view
+
+    def on_view(self, view):
+        seen.append((self, view.iid))
+        return original(self, view)
+
+    monkeypatch.setattr(Predicate, "on_view", on_view)
+    return seen
+
+
+class TestTwoSidedRanges:
+    def test_window_examines_only_in_window_candidates(self, db, monkeypatch):
+        text = 'select item where score > 40 and score < 60 and tag <> "t0"'
+        plan = check(db, text, "index_range")
+        assert (plan.sarg.op, plan.sarg.value, plan.sarg.upper) == (">", 40, ("<", 60))
+        in_window = sorted(
+            i for i in db.instances_of("item") if 40 < db.get_attr(i, "score") < 60
+        )
+        seen = spy_on_views(monkeypatch)
+        plan = compile_query(db.schema, text).plan(db)
+        result = plan.execute()
+        assert [iid for __, iid in seen] == in_window
+        assert {predicate for predicate, __ in seen} == {plan.sarg.residual}
+        assert plan.examined == plan.estimated == len(in_window)
+        assert result == compile_query(db.schema, text).run_scan(db)
+
+    def test_flipped_literal_and_tightest_bounds_pair(self, db):
+        plan = check(db, "select item where 40 < score and score <= 60", "index_range")
+        assert (plan.sarg.op, plan.sarg.value, plan.sarg.upper) == (">", 40, ("<=", 60))
+        assert plan.sarg.residual is None
+        plan = check(
+            db,
+            "select item where score > 10 and score >= 40 and score < 90 "
+            "and score < 60 and score <= 60",
+            "index_range",
+        )
+        assert (plan.sarg.op, plan.sarg.value, plan.sarg.upper) == (">=", 40, ("<", 60))
+
+    def test_inverted_window_examines_no_one(self, db, monkeypatch):
+        text = 'select item where score > 60 and score < 40 and tag <> "t0"'
+        check(db, text, "index_range")
+        seen = spy_on_views(monkeypatch)
+        plan = compile_query(db.schema, text).plan(db)
+        assert plan.execute() == []
+        assert seen == [] and plan.examined == 0
+
+    def test_mixed_type_keys_degrade_two_sided_to_scan(self, db):
+        run_query(db, "select item where oddly == 37")  # resolve the index
+        query = compile_query(db.schema, "select item where oddly > 10 and oddly < 50")
+        assert any(sarg.upper is not None for sarg in query.sargs)
+        assert query.plan(db).access_path == "scan"
+        with pytest.raises(TypeError):
+            query.run_scan(db)
+        with pytest.raises(TypeError):
+            query.run(db)
+
+    def test_mixed_literal_groups_get_no_two_sided_sarg(self, db):
+        query = compile_query(
+            db.schema, 'select item where score > 10 and score < 50 and score < "z"'
+        )
+        assert all(sarg.upper is None for sarg in query.sargs)
+
+
+class _CountingBuckets(dict):
+    """A bucket mapping that counts every lookup."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+DISTINCT_KEYS = 10_000
+
+
+def test_range_pricing_reads_only_the_shorter_side():
+    schema = compile_schema(
+        "object class row is attributes score : integer; end object;", freeze=False
+    )
+    schema.add_index("row", "score")
+    schema.freeze()
+    db = Database(schema, pool_capacity=1024)
+    with db.batch():
+        for i in range(DISTINCT_KEYS):
+            db.create("row", score=i)
+    index = db.indexes.attr_indexes[("row", "score")]
+    index.buckets = _CountingBuckets(index.buckets)
+    plan = compile_query(schema, "select row where score > 5").plan(db)
+    # Keys 0..5 are the shorter side of the cut.
+    assert index.buckets.reads <= 6
+    assert plan.estimated == DISTINCT_KEYS - 6
+    index.buckets.reads = 0
+    plan = compile_query(schema, "select row where score > 5 and score < 9990").plan(db)
+    # Each sarg reads at most its shorter side: 6, 10 and 6 + 10 buckets.
+    assert index.buckets.reads <= 2 * (6 + 10)
+    assert plan.sarg.upper == ("<", 9990)
+    assert plan.estimated == 9990 - 6
+
+
 class TestSoundnessFallbacks:
     def test_mixed_type_keys_degrade_range_to_scan(self, db):
         # oddly holds ints, strings, and Nones: no ordered probe is sound.
@@ -191,6 +299,26 @@ class TestObservability:
         assert planned and planned[0].access_path == "index_eq"
         assert planned[0].index_attr == "twice"
         assert planned[0].cost <= planned[0].scan_cost
+        # Every ``twice`` slot was still pending, so the estimate counted
+        # all 120 as possible hits; once swept it is exact.
+        assert (planned[0].estimated, planned[0].examined) == (120, 12)
+        run_query(db, "select item where twice == 6")
+        planned = [e for e in events if isinstance(e, QueryPlanned)]
+        assert planned[1].estimated == planned[1].examined == 12
+
+    def test_misestimates_counted_past_twice(self, db):
+        stats = db.indexes.stats
+        base = stats.plan_misestimates
+        run_query(db, "select item where score > 40 and score < 60")
+        assert stats.plan_misestimates == base
+        # An ordered walk priced at every instance stops after a few.
+        plan = compile_query(
+            db.schema, 'select item where tag <> "t0" order by score desc limit 3'
+        ).plan(db)
+        assert plan.access_path == "index_order"
+        plan.execute()
+        assert plan.examined < plan.estimated // 2
+        assert stats.plan_misestimates == base + 1
 
     def test_stats_count_paths(self, db):
         stats = db.indexes.stats

@@ -144,6 +144,46 @@ class TestIntrinsicMaintenance:
         assert index.ordered_keys(descending=False) == [1, 3, 5, 9]
         assert index.ordered_keys(descending=True) == [9, 5, 3, 1]
 
+    def test_two_sided_probe_is_one_slice(self):
+        db = make_db("weight")
+        for w in (5, 1, 9, 5, 3, 7):
+            db.create("item", weight=w)
+        index = index_of(db, "weight")
+        weights = {i: db.get_attr(i, "weight") for i in db.instances_of("item")}
+        for lower, upper, keep in (
+            ((">", 1), ("<", 9), lambda w: 1 < w < 9),
+            ((">=", 3), ("<=", 7), lambda w: 3 <= w <= 7),
+            ((">=", 5), ("<=", 5), lambda w: w == 5),
+            ((">", 7), ("<", 3), lambda w: False),
+        ):
+            expected = sorted(i for i, w in weights.items() if keep(w))
+            assert index.range(*lower, upper) == expected, (lower, upper)
+            assert index.count_range(*lower, upper) == len(expected), (lower, upper)
+
+    def test_non_range_operator_is_rejected(self):
+        db = make_db("weight")
+        db.create("item", weight=3)
+        index = index_of(db, "weight")
+        for probe in (index.count_range, index.range):
+            with pytest.raises(ValueError):
+                probe("==", 3)
+        for probe in (index.count_range, index.range):
+            with pytest.raises(ValueError):
+                probe(">", 1, ("!=", 5))
+
+    def test_group_sizes_follow_inserts_and_removes(self):
+        db = make_db("weight")
+        a = db.create("item", weight=3)
+        b = db.create("item", weight=3)
+        db.create("item", weight=8)
+        index = index_of(db, "weight")
+        assert index.group_sizes["num"] == 3
+        db.set_attr(a, "weight", 4)
+        db.delete(b)
+        assert index.group_sizes["num"] == 2
+        # The longer side of a cut is priced from the group size.
+        assert index.count_range(">", 0) == 2
+
 
 class TestDerivedMaintenance:
     def test_new_instances_are_pending_until_swept(self):

@@ -4,8 +4,9 @@ Random scripts of creates, updates, deletes, delete-plus-undo, and codec
 snapshot/restore round trips churn attribute values, derived slots, and
 predicate-subtype membership; after every script a battery of queries
 must answer identically through :meth:`Query.run` (planner, indexes,
-extents) and :meth:`Query.run_scan` (the naive reference) -- under both
-the compiled engine and ``REPRO_NO_COMPILE=1``.  After every op, the
+extents, one- and two-sided range probes) and :meth:`Query.run_scan`
+(the naive reference) -- under both the compiled engine and
+``REPRO_NO_COMPILE=1``.  After every op, the
 engine's per-name stale sets must equal the matching subsets of its
 out-of-date set.
 
@@ -60,6 +61,18 @@ QUERIES = [
     "select item where twice == 4",
     "select heavy_item",
     "select heavy_item where bucket <= 2 order by score desc",
+    # Two-sided windows: open, closed, flipped literal, equal bounds,
+    # inverted, plus a residual, a looser third bound, a derived attribute
+    # and a predicate subtype.
+    "select item where score > 30 and score < 45",
+    "select item where score >= 30 and score <= 45",
+    "select item where 30 < score and score <= 45",
+    "select item where score >= 30 and score <= 30",
+    "select item where score > 45 and score < 30",
+    "select item where score > 20 and score < 60 and bucket == 2",
+    "select item where score > 10 and score < 70 and score >= 25 order by bucket",
+    "select item where twice > 2 and twice <= 6",
+    "select heavy_item where 55 <= score and score < 80",
 ]
 
 
